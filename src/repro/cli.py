@@ -573,8 +573,11 @@ def _add_verify_parser(subparsers) -> None:
     parser.add_argument("--stats", action="store_true",
                         help="print BDD.stats() and cache counters "
                              "after the run")
-    parser.add_argument("--back-image", default="compose",
-                        choices=["compose", "relational"])
+    parser.add_argument("--back-image", default=Options.back_image_mode,
+                        choices=["auto", "compose", "relational"],
+                        help="BackImage strategy: pick per conjunct by "
+                             "predicted cost (auto, the default) or "
+                             "force one")
     parser.add_argument("--monotone", action="store_true",
                         help="one-directional termination test")
     parser.add_argument("--auto-decompose", action="store_true",

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from ..bdd.manager import BudgetExceededError, Function
 from ..trace import BACK_IMAGE, TERMINATION
 from ..fsm.machine import Machine
-from ..fsm.image import back_image
+from ..fsm.image import back_image, resolve_back_image_mode
 from ..fsm.trace import Trace, backward_counterexample
 from .options import Options
 from .result import Outcome, RunRecorder, VerificationResult
@@ -60,14 +60,15 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
                 if spans.enabled else None
             if observed:
                 t0 = time.monotonic()
-            image = back_image(machine, current,
-                               options.back_image_mode,
+            mode = resolve_back_image_mode(machine, current,
+                                           options.back_image_mode)
+            image = back_image(machine, current, mode,
                                options.cluster_limit)
             if observed:
                 seconds = time.monotonic() - t0
                 if tracer.enabled:
                     tracer.emit(BACK_IMAGE,
-                                mode=options.back_image_mode,
+                                mode=mode,
                                 input_size=current.size(),
                                 output_size=image.size(),
                                 seconds=round(seconds, 6))
@@ -77,7 +78,8 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
                     metrics.observe_size("back_image_output_nodes",
                                          image.size())
             if handle is not None:
-                spans.close_span(handle, output_size=image.size())
+                spans.close_span(handle, mode=mode,
+                                 output_size=image.size())
             successor = good & image
             not_rings.append(~successor)
             recorder.record_iterate(successor.size(), str(successor.size()),

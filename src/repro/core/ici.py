@@ -32,7 +32,7 @@ from ..bdd.manager import BudgetExceededError, Function
 from ..bdd.sizing import SizeMemo, format_profile, shared_size
 from ..trace import BACK_IMAGE, TERMINATION
 from ..fsm.machine import Machine
-from ..fsm.image import back_image
+from ..fsm.image import back_image, resolve_back_image_mode
 from .options import Options
 from .result import Outcome, RunRecorder, VerificationResult
 from .implicit_trace import find_failing_conjunct, \
@@ -152,14 +152,15 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                     if spans.enabled else None
                 if observed:
                     t0 = time.monotonic()
-                image = back_image(machine, conjunct,
-                                   options.back_image_mode,
+                mode = resolve_back_image_mode(machine, conjunct,
+                                               options.back_image_mode)
+                image = back_image(machine, conjunct, mode,
                                    options.cluster_limit)
                 if observed:
                     seconds = time.monotonic() - t0
                     if tracer.enabled:
                         tracer.emit(BACK_IMAGE,
-                                    mode=options.back_image_mode,
+                                    mode=mode,
                                     input_size=conjunct.size(),
                                     output_size=image.size(),
                                     seconds=round(seconds, 6))
@@ -169,7 +170,8 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                         metrics.observe_size("back_image_output_nodes",
                                              image.size())
                 if handle is not None:
-                    spans.close_span(handle, output_size=image.size())
+                    spans.close_span(handle, mode=mode,
+                                     output_size=image.size())
                 stepped.append(good & image)
             stepped = _simplify_positional(manager, stepped, options,
                                            size_memo)

@@ -77,10 +77,11 @@ class Options:
     # -- image computation ---------------------------------------------------
     #: Node limit when clustering the partitioned transition relation.
     cluster_limit: int = 2500
-    #: BackImage strategy: "compose" (vector compose + forall, the
-    #: default) or "relational" (dual of PreImage over the partitioned
-    #: relation; smaller intermediates for very large iterates).
-    back_image_mode: str = "compose"
+    #: BackImage strategy: "auto" (the default: pick per conjunct by
+    #: predicted compose cost, see ``repro.fsm.image.RELATIONAL_COST``),
+    #: or force "compose" (vector compose + forall) or "relational"
+    #: (dual of PreImage over the machine's cached clusters).
+    back_image_mode: str = "auto"
     #: Forward traversal: compute the image of the new frontier only
     #: (``R_{i+1} = R_i or Image(R_i - R_{i-1})``) instead of the whole
     #: reached set — same fixpoint, often cheaper steps.
@@ -350,7 +351,7 @@ class Options:
             raise ValueError("grow_threshold must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.back_image_mode not in ("compose", "relational"):
+        if self.back_image_mode not in ("auto", "compose", "relational"):
             raise ValueError(
                 f"unknown back_image_mode {self.back_image_mode!r}")
         if self.simplifier not in ("restrict", "constrain", "multiway"):

@@ -29,7 +29,7 @@ from ..obs.registry import NULL_REGISTRY
 from ..obs.spans import NULL_SPANS
 from ..trace import BACK_IMAGE, NULL_TRACER, Tracer
 from ..fsm.machine import Machine
-from ..fsm.image import back_image
+from ..fsm.image import back_image, resolve_back_image_mode
 from ..iclist.conjlist import ConjList
 from ..iclist.evaluate import EvaluationStats, greedy_evaluate
 from ..iclist.paircache import PairCache
@@ -142,14 +142,15 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                     if spans.enabled else None
                 if observed:
                     t0 = time.monotonic()
-                image = back_image(machine, conjunct,
-                                   options.back_image_mode,
+                mode = resolve_back_image_mode(machine, conjunct,
+                                               options.back_image_mode)
+                image = back_image(machine, conjunct, mode,
                                    options.cluster_limit)
                 if observed:
                     seconds = time.monotonic() - t0
                     if tracer.enabled:
                         tracer.emit(BACK_IMAGE,
-                                    mode=options.back_image_mode,
+                                    mode=mode,
                                     input_size=conjunct.size(),
                                     output_size=image.size(),
                                     seconds=round(seconds, 6))
@@ -159,7 +160,8 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                         metrics.observe_size("back_image_output_nodes",
                                              image.size())
                 if handle is not None:
-                    spans.close_span(handle, output_size=image.size())
+                    spans.close_span(handle, mode=mode,
+                                     output_size=image.size())
                 stepped.append(image)
                 manager.auto_collect()
             _condition(stepped, options, eval_stats, cache, tracer,

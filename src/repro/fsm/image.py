@@ -14,7 +14,8 @@ input assumption ``A``:
 so the duality ``BackImage(Z) = not PreImage(not Z)`` noted in the
 paper holds by construction, and Theorem 1
 (``BackImage(Y and Z) = BackImage(Y) and BackImage(Z)``) follows from
-compose and forall distributing over conjunction.
+compose and forall distributing over conjunction.  Because of
+Theorem 1 the back-image strategy can be picked per conjunct.
 
 ``Image`` needs the transition *relation*; we use the partitioned form
 with clustered conjuncts and early quantification (Burch–Clarke–Long
@@ -23,47 +24,80 @@ with clustered conjuncts and early quantification (Burch–Clarke–Long
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Sequence, Tuple
 
 from ..bdd.manager import Function
-from .machine import Machine
+from .machine import Machine, greedy_clusters
 
-__all__ = ["back_image", "pre_image", "image", "ImageComputer"]
+__all__ = ["back_image", "pre_image", "image", "ImageComputer",
+           "RELATIONAL_COST", "resolve_back_image_mode"]
+
+#: ``"auto"`` back-images a conjunct ``z`` relationally when the
+#: predicted compose cost ``|z| * sum(|delta_v| for v in supp(z))``
+#: exceeds this.  Large conjuncts over many bits make vector compose
+#: blow up; below the bar compose is cheaper and needs no clusters.
+RELATIONAL_COST = 200_000
 
 
-def back_image(machine: Machine, z: Function, mode: str = "compose",
+def resolve_back_image_mode(machine: Machine, z: Function,
+                            mode: str = "auto") -> str:
+    """The strategy ``back_image(machine, z, mode)`` runs.
+
+    Returns ``"compose"`` or ``"relational"``; ``"auto"`` resolves by
+    the :data:`RELATIONAL_COST` predictor.
+    """
+    if mode == "auto":
+        size = z.size()
+        sizes, total = machine.delta_sizes()
+        # The sum over all of delta bounds the cost, so small conjuncts
+        # are settled without walking their support.
+        if size * total <= RELATIONAL_COST:
+            return "compose"
+        cost = size * sum(sizes[name] for name in z.support())
+        return "relational" if cost > RELATIONAL_COST else "compose"
+    if mode not in ("compose", "relational"):
+        raise ValueError(f"unknown back_image mode {mode!r}")
+    return mode
+
+
+def back_image(machine: Machine, z: Function, mode: str = "auto",
                cluster_limit: int = 2500) -> Function:
     """States all of whose (allowed) successors lie in ``z``.
 
     ``z`` must range over current-state variables only.  Two
     computation strategies with identical results:
 
-    * ``"compose"`` (default) — substitute the next-state functions
-      into ``z`` (simultaneous vector compose) and universally
-      quantify the inputs.  Cheapest for small ``z``; one conjunct at
-      a time, this is what makes Theorem 1 free.
+    * ``"compose"`` — substitute the next-state functions into ``z``
+      (simultaneous vector compose) and universally quantify the
+      inputs.  Cheapest for small ``z``.
     * ``"relational"`` — the duality the paper notes,
-      ``BackImage(Z) = not PreImage(not Z)``, computed over the
-      clustered partitioned transition relation with early
-      quantification.  Often far smaller intermediates when ``z`` is
-      large, because the conjuncts of the relation are consumed
-      incrementally instead of being substituted all at once.
+      ``BackImage(Z) = not PreImage(not Z)``, computed as one
+      early-quantified relational product over the machine's cached
+      clusters (:meth:`Machine.clusters`).  Only the clusters whose
+      primed variables ``z'`` mentions take part: every cluster is a
+      conjunction of functional ``s' <-> delta_s`` terms, so
+      quantifying its primed variables away leaves ``true``.
+
+    ``"auto"`` (default) picks one per call with
+    :func:`resolve_back_image_mode`.
     """
+    mode = resolve_back_image_mode(machine, z, mode)
     if mode == "compose":
         composed = z.compose(machine.delta)
         constrained = machine.assumption.implies(composed)
         return constrained.forall(machine.input_names)
-    if mode != "relational":
-        raise ValueError(f"unknown back_image mode {mode!r}")
-    # not PreImage(not z): rename the complement to primed variables,
-    # then one relational product per cluster, quantifying inputs and
-    # primed variables as they die.
-    target = (~z).rename(machine.prime_map())
-    source = machine.assumption & target
-    quantify = list(machine.input_names) + list(machine.next_names)
-    pre_not = clustered_image(source, machine.transition_partition(),
-                              quantify, {}, cluster_limit)
-    return ~pre_not
+    prime = machine.prime_map()
+    needed = {prime[name] for name in z.support()}
+    clusters = [cluster for cluster in machine.clusters(cluster_limit)
+                if cluster.primed & needed]
+    quantify = set(machine.input_names)
+    for cluster in clusters:
+        quantify |= cluster.primed
+    source = machine.assumption & (~z).rename(prime)
+    schedule = _schedule([cluster.relation for cluster in clusters],
+                         [cluster.support for cluster in clusters],
+                         quantify)
+    return ~_conjoin_quantify(source, schedule, quantify)
 
 
 def pre_image(machine: Machine, z: Function) -> Function:
@@ -73,13 +107,48 @@ def pre_image(machine: Machine, z: Function) -> Function:
     return constrained.exists(machine.input_names)
 
 
+def _schedule(relations: Sequence[Function],
+              supports: Sequence[AbstractSet[str]],
+              quantifiable: AbstractSet[str]
+              ) -> List[Tuple[Function, List[str]]]:
+    """Pair each relation with the variables dying after it.
+
+    A quantifiable variable dies right after the last relation whose
+    support mentions it.
+    """
+    schedule: List[Tuple[Function, List[str]]] = []
+    later: set = set()
+    for relation, support in zip(reversed(relations), reversed(supports)):
+        dying = sorted(name for name in support
+                       if name in quantifiable and name not in later)
+        schedule.append((relation, dying))
+        later |= support
+    schedule.reverse()
+    return schedule
+
+
+def _conjoin_quantify(source: Function,
+                      schedule: Sequence[Tuple[Function, List[str]]],
+                      quantifiable: AbstractSet[str]) -> Function:
+    """``exists quantifiable. source & all relations``, early quantified."""
+    result = source
+    for relation, dying in schedule:
+        result = result.and_exists(relation, dying)
+    # Quantify anything left over (variables no relation mentions, e.g.
+    # bits of an unused input field).
+    leftovers = sorted(result.support() & quantifiable)
+    if leftovers:
+        result = result.exists(leftovers)
+    return result
+
+
 class ImageComputer:
     """Forward image with clustered partitioned transition relation.
 
-    Clusters the per-bit conjuncts ``s' <-> delta_s`` greedily up to a
-    node limit, and schedules early quantification: a variable is
-    quantified out in the first step after which no later cluster (nor
-    the machine's assumption) mentions it.
+    Uses the machine's cached greedy clusters of the per-bit conjuncts
+    ``s' <-> delta_s`` and schedules early quantification: a variable
+    is quantified out in the first step after which no later cluster
+    mentions it.
     """
 
     def __init__(self, machine: Machine,
@@ -87,60 +156,19 @@ class ImageComputer:
         self.machine = machine
         self.manager = machine.manager
         self.cluster_limit = cluster_limit
-        self._clusters = self._build_clusters()
-        self._schedule = self._build_schedule()
-
-    def _build_clusters(self) -> List[Function]:
-        clusters: List[Function] = []
-        current: Optional[Function] = None
-        for part in self.machine.transition_partition():
-            if current is None:
-                current = part
-                continue
-            merged = current & part
-            if merged.size() > self.cluster_limit:
-                clusters.append(current)
-                current = part
-            else:
-                current = merged
-        if current is not None:
-            clusters.append(current)
-        return clusters
-
-    def _build_schedule(self) -> List[Tuple[Function, List[str]]]:
-        """Pair each cluster with the variables dying after it."""
-        machine = self.machine
-        quantifiable = set(machine.current_names) | set(machine.input_names)
-        supports = [cluster.support() for cluster in self._clusters]
-        # The assumption is conjoined with R up front, so its support is
-        # "used" before any cluster.
-        schedule: List[Tuple[Function, List[str]]] = []
-        remaining: List[set] = [set() for _ in self._clusters]
-        later: set = set()
-        for index in range(len(self._clusters) - 1, -1, -1):
-            remaining[index] = set(later)
-            later |= set(supports[index])
-        for index, cluster in enumerate(self._clusters):
-            dying = [name for name in supports[index]
-                     if name in quantifiable
-                     and name not in remaining[index]]
-            schedule.append((cluster, sorted(dying)))
-        return schedule
+        clusters = machine.clusters(cluster_limit)
+        self._quantify = frozenset(machine.current_names) \
+            | frozenset(machine.input_names)
+        self._clusters = [cluster.relation for cluster in clusters]
+        self._schedule = _schedule(
+            self._clusters, [cluster.support for cluster in clusters],
+            self._quantify)
 
     def image(self, reached: Function) -> Function:
         """One forward step: successors of ``reached``."""
         machine = self.machine
-        current = reached & machine.assumption
-        consumed = set(current.support())
-        for cluster, dying in self._schedule:
-            current = current.and_exists(cluster, dying)
-        # Quantify anything left over (state/input vars no cluster uses,
-        # e.g. bits of an unused input field).
-        leftovers = [name for name
-                     in set(machine.current_names) | set(machine.input_names)
-                     if name in current.support()]
-        if leftovers:
-            current = current.exists(leftovers)
+        current = _conjoin_quantify(reached & machine.assumption,
+                                    self._schedule, self._quantify)
         return current.rename(machine.unprime_map())
 
 
@@ -154,49 +182,23 @@ def clustered_image(source: Function, parts: Sequence[Function],
     existentially quantifying ``quantify_names`` as early as possible,
     then renames by ``rename_map``.  Used by the FD engine, whose
     per-iteration transition parts change (dependent variables are
-    substituted out), so nothing can be precomputed.
+    substituted out), so nothing can be cached on the machine.
     """
-    manager = source.bdd
-    # Greedy clustering.
-    clusters: List[Function] = []
-    current: Optional[Function] = None
-    for part in parts:
-        if current is None:
-            current = part
-        else:
-            merged = current & part
-            if merged.size() > cluster_limit:
-                clusters.append(current)
-                current = part
-            else:
-                current = merged
-    if current is not None:
-        clusters.append(current)
-    # Early-quantification schedule.
-    quantifiable = set(quantify_names)
-    supports = [cluster.support() for cluster in clusters]
-    remaining: set = set()
-    dying_after: List[List[str]] = [[] for _ in clusters]
-    for index in range(len(clusters) - 1, -1, -1):
-        dying_after[index] = sorted(
-            name for name in supports[index]
-            if name in quantifiable and name not in remaining)
-        remaining |= set(supports[index])
-    result = source
-    for cluster, dying in zip(clusters, dying_after):
-        result = result.and_exists(cluster, dying)
-    leftovers = [name for name in quantifiable
-                 if name in result.support()]
-    if leftovers:
-        result = result.exists(leftovers)
-    return result.rename(rename_map)
+    relations = [relation for relation, _members
+                 in greedy_clusters(parts, cluster_limit)]
+    quantifiable = frozenset(quantify_names)
+    schedule = _schedule(relations,
+                         [relation.support() for relation in relations],
+                         quantifiable)
+    return _conjoin_quantify(source, schedule,
+                             quantifiable).rename(rename_map)
 
 
 def image(machine: Machine, reached: Function,
           cluster_limit: int = 2500) -> Function:
-    """One-shot forward image (builds a fresh :class:`ImageComputer`).
+    """One-shot forward image over the machine's cached clusters.
 
     Engines that iterate should hold an :class:`ImageComputer` so the
-    clustering and schedule are computed once.
+    schedule is computed once.
     """
     return ImageComputer(machine, cluster_limit).image(reached)

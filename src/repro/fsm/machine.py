@@ -17,11 +17,12 @@ conjunctions at zero cost (vector compose is conjunct-wise).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from ..bdd.manager import BDD, Function
 
-__all__ = ["StateBit", "Machine"]
+__all__ = ["StateBit", "Cluster", "Machine", "greedy_clusters"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,37 @@ class StateBit:
     next_name: str
     next_fn: Function
     init_value: Optional[bool]
+
+
+class Cluster(NamedTuple):
+    """A conjunction of transition conjuncts ``s' <-> delta_s``."""
+
+    relation: Function
+    #: Primed variables of the conjuncts merged into ``relation``.
+    primed: frozenset
+    #: ``relation.support()``, kept for quantification schedules.
+    support: frozenset
+
+
+def greedy_clusters(parts: Sequence[Function],
+                    cluster_limit: int) -> List[Tuple[Function, List[int]]]:
+    """Conjoin consecutive ``parts`` while the product stays small.
+
+    A part joins the open cluster unless the merged BDD would exceed
+    ``cluster_limit`` nodes.  Returns each cluster with the indices of
+    the parts it conjoins.
+    """
+    clusters: List[Tuple[Function, List[int]]] = []
+    for index, part in enumerate(parts):
+        if clusters:
+            current, members = clusters[-1]
+            merged = current & part
+            if merged.size() <= cluster_limit:
+                members.append(index)
+                clusters[-1] = (merged, members)
+                continue
+        clusters.append((part, [index]))
+    return clusters
 
 
 class Machine:
@@ -57,6 +89,8 @@ class Machine:
         self.delta: Dict[str, Function] = {
             b.name: b.next_fn for b in self.state_bits}
         self._transition_partition: Optional[List[Function]] = None
+        self._clusters: Dict[int, Tuple[Cluster, ...]] = {}
+        self._delta_sizes: Optional[Tuple[Dict[str, int], int]] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -87,6 +121,34 @@ class Machine:
                 parts.append(primed.iff(bit.next_fn))
             self._transition_partition = parts
         return self._transition_partition
+
+    def clusters(self, cluster_limit: int) -> Tuple[Cluster, ...]:
+        """Greedy clusters of :meth:`transition_partition` (cached).
+
+        Built on first use for each ``cluster_limit`` and shared by
+        every image computation over this machine.
+        """
+        cached = self._clusters.get(cluster_limit)
+        if cached is None:
+            cached = tuple(
+                Cluster(relation,
+                        frozenset(self.next_names[i] for i in members),
+                        relation.support())
+                for relation, members in greedy_clusters(
+                    self.transition_partition(), cluster_limit))
+            self._clusters[cluster_limit] = cached
+        return cached
+
+    def delta_sizes(self) -> Tuple[Dict[str, int], int]:
+        """Node count of each next-state function, and their sum (cached).
+
+        Measured once, so the counts go stale if the variable order
+        changes later; they only steer a cost prediction.
+        """
+        if self._delta_sizes is None:
+            sizes = {name: fn.size() for name, fn in self.delta.items()}
+            self._delta_sizes = (sizes, sum(sizes.values()))
+        return self._delta_sizes
 
     # -- well-formedness -----------------------------------------------------
 

@@ -1,15 +1,29 @@
 """Image operators vs explicit enumeration, and Theorem 1."""
 
+import importlib
+
 import pytest
 
+from repro import build_model
 from repro.bdd import BDD, iter_assignments
+from repro.core import Options, verify
 from repro.expr import BitVec
 from repro.fsm import Builder, ImageComputer, back_image, image, pre_image
-from repro.fsm.image import clustered_image
+from repro.fsm.image import clustered_image, resolve_back_image_mode
 from repro.explicit import explicit_reachable
+from repro.obs import SpanProfiler
+from repro.trace import BACK_IMAGE, RecordingTracer
 
 from conftest import random_function, random_machine, random_property
 import random
+
+# ``repro.fsm.image`` the module (the package re-exports a function of
+# the same name).
+image_module = importlib.import_module("repro.fsm.image")
+machine_module = importlib.import_module("repro.fsm.machine")
+
+#: A predictor bar every conjunct clears, so ``auto`` goes relational.
+ALWAYS_RELATIONAL = -1
 
 
 def explicit_images(machine, z_states):
@@ -81,16 +95,19 @@ def test_backimage_is_dual_of_preimage(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_theorem1_backimage_distributes_over_conjunction(seed):
+def test_theorem1_backimage_distributes_over_conjunction(seed, monkeypatch):
     """Theorem 1: BackImage(tau, Y and Z) ==
-    BackImage(tau, Y) and BackImage(tau, Z)."""
+    BackImage(tau, Y) and BackImage(tau, Z), under ``auto`` on either
+    side of the predictor's bar."""
     machine = random_machine(seed)
     rng = random.Random(seed + 7)
     y = random_function(machine.manager, machine.current_names, rng)
     z = random_function(machine.manager, machine.current_names, rng)
-    combined = back_image(machine, y & z)
-    split = back_image(machine, y) & back_image(machine, z)
-    assert combined.equiv(split)
+    for bar in (image_module.RELATIONAL_COST, ALWAYS_RELATIONAL):
+        monkeypatch.setattr(image_module, "RELATIONAL_COST", bar)
+        combined = back_image(machine, y & z)
+        split = back_image(machine, y) & back_image(machine, z)
+        assert combined.equiv(split)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -148,16 +165,97 @@ def test_clustered_image_generic_helper():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_relational_back_image_equals_compose(seed):
-    """The two BackImage strategies must agree exactly."""
+def test_relational_back_image_equals_compose(seed, monkeypatch):
+    """compose, relational and auto agree exactly, also when ``z``
+    mentions only some bits and the relational route skips clusters."""
     machine = random_machine(seed, num_state_bits=4, num_input_bits=2)
     rng = random.Random(seed + 77)
-    z = random_function(machine.manager, machine.current_names, rng)
-    composed = back_image(machine, z, mode="compose")
-    relational = back_image(machine, z, mode="relational")
-    assert composed.equiv(relational)
-    tight = back_image(machine, z, mode="relational", cluster_limit=1)
-    assert composed.equiv(tight)
+    for names in (machine.current_names, machine.current_names[:2]):
+        z = random_function(machine.manager, names, rng)
+        composed = back_image(machine, z, mode="compose")
+        for bar in (image_module.RELATIONAL_COST, ALWAYS_RELATIONAL):
+            monkeypatch.setattr(image_module, "RELATIONAL_COST", bar)
+            for limit in (2500, 1):
+                assert composed.equiv(
+                    back_image(machine, z, "relational", limit))
+                assert composed.equiv(back_image(machine, z, "auto", limit))
+        assert resolve_back_image_mode(machine, z) == "relational"
+    # The last z mentions two of four bits, so two one-bit clusters
+    # stayed out of its relational product.
+    needed = {machine.prime_map()[name] for name in z.support()}
+    used = [cluster for cluster in machine.clusters(1)
+            if cluster.primed & needed]
+    assert len(used) <= 2 < len(machine.clusters(1))
+
+
+def test_predictor_compares_compose_cost_with_the_bar(monkeypatch):
+    """auto goes relational iff |z| * sum(|delta_v|, v in supp z) > bar."""
+    machine = random_machine(3, num_state_bits=4)
+    sizes, total = machine.delta_sizes()
+    assert sizes == {name: fn.size() for name, fn in machine.delta.items()}
+    assert total == sum(sizes.values())
+    assert machine.delta_sizes() is machine.delta_sizes()
+    first, second = machine.current_names[:2]
+    z = machine.manager.var(first) ^ machine.manager.var(second)
+    cost = z.size() * (sizes[first] + sizes[second])
+    assert cost < z.size() * total
+    expected = {z.size() * total: "compose", cost: "compose",
+                cost - 1: "relational"}
+    for bar, mode in expected.items():
+        monkeypatch.setattr(image_module, "RELATIONAL_COST", bar)
+        assert resolve_back_image_mode(machine, z) == mode
+        assert resolve_back_image_mode(machine, z, "auto") == mode
+        for forced in ("compose", "relational"):
+            assert resolve_back_image_mode(machine, z, forced) == forced
+    with pytest.raises(ValueError):
+        resolve_back_image_mode(machine, z, "sideways")
+
+
+def test_cluster_cache_built_once_and_shared(monkeypatch):
+    machine = random_machine(9, num_state_bits=5)
+    builds = []
+    real = machine_module.greedy_clusters
+
+    def counting(parts, cluster_limit):
+        builds.append(cluster_limit)
+        return real(parts, cluster_limit)
+
+    monkeypatch.setattr(machine_module, "greedy_clusters", counting)
+    z = random_function(machine.manager, machine.current_names,
+                        random.Random(4))
+    for _ in range(2):
+        back_image(machine, z, "relational", 1)
+        ImageComputer(machine, 1).image(machine.init)
+        image(machine, machine.init, 2500)
+    assert builds == [1, 2500]
+    clusters = machine.clusters(1)
+    assert [cluster.primed for cluster in clusters] == [
+        frozenset([name]) for name in machine.next_names]
+    computer = ImageComputer(machine, 1)
+    assert all(mine is cluster.relation
+               for mine, cluster in zip(computer._clusters, clusters))
+
+
+def test_compose_only_run_builds_no_clusters():
+    """When every pick is compose the one-off cluster build is skipped,
+    so the node peak is that of pure vector compose."""
+    problem = build_model("coherence", caches=7)
+    result = verify(problem, "xici")
+    assert result.verified
+    assert problem.machine._clusters == {}
+    assert result.peak_nodes == 13_374
+
+
+def test_trace_and_spans_record_the_resolved_mode():
+    problem = build_model("pipeline", regs=2, bits=1)
+    tracer, spans = RecordingTracer(), SpanProfiler()
+    result = verify(problem, "bkwd", Options(tracer=tracer, spans=spans))
+    assert result.verified
+    traced = [event["mode"] for event in tracer.events_of(BACK_IMAGE)]
+    spanned = [record["attrs"]["mode"] for record in spans.records
+               if record["name"] == "back_image"]
+    assert traced == spanned
+    assert set(traced) == {"compose", "relational"}
 
 
 def test_back_image_mode_validation():
