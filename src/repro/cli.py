@@ -243,7 +243,10 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         run_id, doc = ledger.load_run(args.dir, args.run_id)
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    runs = ledger.list_runs(args.dir)
+    skipped: List[str] = []
+    runs = ledger.list_runs(args.dir, skipped)
+    if skipped:
+        print(f"skipped {len(skipped)} unreadable run(s)", file=sys.stderr)
     if args.ids:
         for run_id, _doc in runs:
             print(run_id)

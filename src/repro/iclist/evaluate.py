@@ -18,20 +18,32 @@ exactly that via :func:`repro.bdd.bounded_and` — any pair whose product
 overruns ``bound_factor * GrowThreshold * BDDSize(Xi, Xj)`` is priced
 at infinity without being finished.
 
-All per-pair artifacts (products, shared sizes, abort verdicts, node
+Each call scores every conjunct pair once.  Round 1 scores all
+n(n-1)/2 pairs into a min-heap of ratios; a merge replaces one list
+entry, so the next round scores only the pairs of the new product with
+the survivors and pushes them.  Entries of the two merged slots
+are dropped lazily: each slot carries a version that a merge bumps, and
+a popped entry whose versions are stale is discarded.  Slots keep the
+*rank* of their starting position (a product takes the lower slot's
+rank), so the heap order ``(ratio, rank_i, rank_j)`` picks the same
+winner — ties included — as a row-major scan of all pairs keeping the
+first strict minimum, and products are built in the same order.
+
+Per-pair artifacts (products, shared sizes, abort verdicts, node
 counts) are memoized in a :class:`repro.iclist.paircache.PairCache`
-keyed by canonical edge pairs.  Passing a persistent cache makes the
-incremental structure explicit: a merge replaces one list entry, so
-only the O(n) pairs involving the new product are actually built — the
-O(n^2) surviving pairs hit the cache — and an engine reusing the cache
-across fixpoint iterations pays nothing for conjuncts that recur
-between iterates.  With no cache given, a private one is created per
-call (the memoization then only spans merge rounds, matching the
-original table-based implementation).
+keyed by canonical edge pairs.  Passing a persistent cache lets an
+engine reuse products across fixpoint iterations: iteration N+1 pays
+nothing for conjuncts that recur from iteration N.  With no cache
+given, a private one is created per call.  Heap entries hold raw
+product edges, valid only until the manager's epoch moves; when the
+safe point at the top of a round collects or reorders, the cache
+flushes and the heap is rebuilt by a full rescan.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -137,8 +149,9 @@ def greedy_evaluate(conjlist: ConjList,
 
     An enabled ``tracer`` receives one ``merge`` event per accepted
     merge: the winning ratio, the pair's shared size, the product size,
-    whether the product came from the pair cache, and the list length
-    after the merge.  Tracing never changes which merges happen.
+    whether the product was not built this round (taken from the pair
+    cache, or built in an earlier round of this call), and the list
+    length after the merge.  Tracing never changes which merges happen.
 
     ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) likewise only
     observes: per merge-round timing, accepted merge ratios, and
@@ -156,58 +169,77 @@ def greedy_evaluate(conjlist: ConjList,
         metrics = NULL_REGISTRY
     if spans is None:
         spans = NULL_SPANS
+    manager = conjlist.manager
     conjuncts = conjlist.conjuncts
+    # ranks[p] is the starting position of the slot now at position p;
+    # versions[rank] is bumped whenever that slot's conjunct changes.
+    ranks = list(range(len(conjuncts)))
+    versions = [0] * len(conjuncts)
+    heap: List[tuple] = []
+    rescan = True
+    fresh: Optional[int] = None
+    current_round = 0
+
+    def score(pi: int, pj: int) -> None:
+        """Price pair (pi, pj), pi < pj, and push it unless it aborts."""
+        xi = conjuncts[pi]
+        xj = conjuncts[pj]
+        key = cache.pair_key(xi, xj)
+        pair_size = cache.shared_pair_size(xi, xj)
+        bound = max(16, int(bound_factor * grow_threshold * pair_size))
+        if use_bounded:
+            known_abort = cache.aborted_at(key)
+            if known_abort is not None and known_abort >= bound:
+                # Known useless at this bound: price at infinity
+                # without re-running the recursion.
+                cache.stats.abort_hits += 1
+                return
+        product = cache.cached_product(key)
+        was_cached = product is not None
+        if product is None:
+            product = _pair_product(xi, xj, use_bounded, bound, stats)
+            if product is None:
+                cache.record_abort(key, bound)
+                return
+            cache.store_product(key, product)
+        product_size = cache.sizes.size(product)
+        ri = ranks[pi]
+        rj = ranks[pj]
+        heapq.heappush(heap, (product_size / pair_size, ri, rj,
+                              versions[ri], versions[rj], product.edge,
+                              product_size, pair_size, was_cached,
+                              current_round))
+
     while len(conjuncts) >= 2:
+        current_round += 1
         round_span = spans.open_span("merge_round") \
             if spans.enabled else None
         if metrics.enabled:
             round_started = time.perf_counter()
         # Safe point: all live BDDs are held as Functions here.  A
-        # collection renumbers edges, so the cache must resync before
-        # any lookup below.
-        conjlist.manager.auto_collect()
-        cache.note_epoch()
-        best_ratio = math.inf
-        best_pair = None
-        best_product: Optional[Function] = None
-        best_product_size = 0
-        best_pair_size = 0
-        best_cached = False
+        # collection renumbers edges, so the cache must resync and the
+        # heap's raw edges be rebuilt before any lookup below.
+        manager.auto_collect()
         n = len(conjuncts)
-        for i in range(n):
-            xi = conjuncts[i]
-            for j in range(i + 1, n):
-                xj = conjuncts[j]
-                key = cache.pair_key(xi, xj)
-                pair_size = cache.shared_pair_size(xi, xj)
-                bound = max(16, int(bound_factor * grow_threshold
-                                    * pair_size))
-                if use_bounded:
-                    known_abort = cache.aborted_at(key)
-                    if known_abort is not None and known_abort >= bound:
-                        # Known useless at this bound: price at infinity
-                        # without re-running the recursion.
-                        cache.stats.abort_hits += 1
-                        continue
-                product = cache.cached_product(key)
-                was_cached = product is not None
-                if product is None:
-                    product = _pair_product(xi, xj, use_bounded, bound,
-                                            stats)
-                    if product is None:
-                        cache.record_abort(key, bound)
-                        continue
-                    cache.store_product(key, product)
-                product_size = cache.sizes.size(product)
-                ratio = product_size / pair_size
-                if ratio < best_ratio:
-                    best_ratio = ratio
-                    best_pair = (i, j)
-                    best_product = product
-                    best_product_size = product_size
-                    best_pair_size = pair_size
-                    best_cached = was_cached
-        if best_pair is None or best_ratio > grow_threshold:
+        if cache.note_epoch() or rescan:
+            heap.clear()
+            for i in range(n):
+                for j in range(i + 1, n):
+                    score(i, j)
+            rescan = False
+        elif fresh is not None:
+            for p in range(n):
+                if p < fresh:
+                    score(p, fresh)
+                elif p > fresh:
+                    score(fresh, p)
+        fresh = None
+        # Drop entries whose slots were merged away since they were
+        # pushed; the top is then the best live pair.
+        while heap and (versions[heap[0][1]] != heap[0][3]
+                        or versions[heap[0][2]] != heap[0][4]):
+            heapq.heappop(heap)
+        if not heap or heap[0][0] > grow_threshold:
             if metrics.enabled:
                 metrics.inc("evaluate_rounds")
                 metrics.observe_time("evaluate_round_seconds",
@@ -216,6 +248,8 @@ def greedy_evaluate(conjlist: ConjList,
                 spans.close_span(round_span, merged=False,
                                  list_length=len(conjuncts))
             break
+        (best_ratio, ri, rj, _, _, edge, best_product_size,
+         best_pair_size, was_cached, built_round) = heapq.heappop(heap)
         stats.merges += 1
         stats.record_ratio(best_ratio)
         if metrics.enabled:
@@ -229,19 +263,23 @@ def greedy_evaluate(conjlist: ConjList,
             # bare run's (observational-only, down to the stats).
             metrics.observe_size("merge_product_nodes",
                                  best_product_size)
-        i, j = best_pair
         if trace:
             tracer.emit(MERGE,
                         ratio=round(best_ratio, 4),
                         pair_size=best_pair_size,
                         product_size=best_product_size,
-                        cached=best_cached,
+                        cached=was_cached or built_round < current_round,
                         list_length=len(conjuncts) - 1)
-        # Replace Xi and Xj with Pij.  Pairs among the survivors stay
-        # valid in the cache; only the new product's pairs are misses
-        # on the next round.
-        conjuncts[i] = best_product
+        # Replace Xi and Xj with Pij in Xi's slot.  Ranks stay sorted,
+        # so a bisection finds each slot's position.
+        i = bisect.bisect_left(ranks, ri)
+        j = bisect.bisect_left(ranks, rj)
+        conjuncts[i] = Function(manager, edge)
         del conjuncts[j]
+        del ranks[j]
+        versions[ri] += 1
+        versions[rj] += 1
+        fresh = i
         if round_span is not None:
             spans.close_span(round_span, merged=True,
                              ratio=round(best_ratio, 4),

@@ -1,16 +1,14 @@
 """Persistent pair-product cache for the greedy evaluator (Figure 1).
 
-The Figure-1 policy scores every conjunct pair by
-``size(Xi & Xj) / shared_size(Xi, Xj)`` on *every* merge round, and the
-XICI engine runs the whole policy again on *every* backward-fixpoint
-iteration.  Most of that work is redundant:
-
-* within one evaluation, a merge changes a single list entry, so all
-  pairs not touching it keep their products, shared sizes, and abort
-  verdicts;
-* across fixpoint iterations, conjuncts recur — the goal conjuncts are
-  re-appended verbatim each step, and near the fixpoint the whole list
-  stabilizes — so iteration N+1 can reuse iteration N's products.
+The Figure-1 policy scores conjunct pairs by
+``size(Xi & Xj) / shared_size(Xi, Xj)``, and the XICI engine runs the
+whole policy again on *every* backward-fixpoint iteration.  Within one
+call the evaluator's ratio heap already scores each pair once (see
+:mod:`repro.iclist.evaluate`); across calls conjuncts recur — the goal
+conjuncts are re-appended verbatim each step, and near the fixpoint the
+whole list stabilizes — so iteration N+1 can reuse iteration N's
+products, shared sizes, and abort verdicts.  That reuse is this
+cache's job.
 
 Canonicity makes the reuse exact: an edge determines its function, so a
 pair of edges determines the product edge, the pair's shared size, and

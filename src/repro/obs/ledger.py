@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -258,17 +260,37 @@ def record_run(ledger_dir: Union[str, Path], result: Any,
     run_id = run_id_of(doc)
     run_dir = Path(ledger_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / RUN_FILENAME).write_text(
-        json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8")
+    _write_atomic(run_dir / RUN_FILENAME,
+                  json.dumps(doc, indent=2, sort_keys=True, default=str)
+                  + "\n")
     if spans is not None and getattr(spans, "enabled", False):
-        (run_dir / "trace.json").write_text(
-            json.dumps(spans.to_chrome_trace()) + "\n", encoding="utf-8")
+        _write_atomic(run_dir / "trace.json",
+                      json.dumps(spans.to_chrome_trace()) + "\n")
     return run_id
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so readers never see a torn document.
+
+    The text goes to a temp file in the same directory, which
+    :func:`os.replace` then renames over ``path`` in one step.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _load_doc(path: Path) -> Dict[str, Any]:
     doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a run document")
     version = doc.get("schema_version")
     if version != LEDGER_SCHEMA_VERSION:
         raise ValueError(
@@ -280,9 +302,15 @@ def _load_doc(path: Path) -> Dict[str, Any]:
     return doc
 
 
-def list_runs(ledger_dir: Union[str, Path]
+def list_runs(ledger_dir: Union[str, Path],
+              skipped: Optional[List[str]] = None
               ) -> List[Tuple[str, Dict[str, Any]]]:
-    """All (run_id, document) pairs in the ledger, id-sorted."""
+    """All readable (run_id, document) pairs in the ledger, id-sorted.
+
+    A document that cannot be read (truncated, not JSON, or of another
+    schema) is left out rather than failing the whole listing; its run
+    id is appended to ``skipped`` when a list is given.
+    """
     root = Path(ledger_dir)
     if not root.is_dir():
         return []
@@ -290,7 +318,13 @@ def list_runs(ledger_dir: Union[str, Path]
     for entry in sorted(root.iterdir()):
         doc_path = entry / RUN_FILENAME
         if entry.is_dir() and doc_path.is_file():
-            runs.append((entry.name, _load_doc(doc_path)))
+            try:
+                doc = _load_doc(doc_path)
+            except (OSError, ValueError):
+                if skipped is not None:
+                    skipped.append(entry.name)
+                continue
+            runs.append((entry.name, doc))
     return runs
 
 
@@ -358,8 +392,8 @@ def record_request(ledger_dir: Union[str, Path], request_hash: str,
         entry["request"] = request
     if request_id is not None:
         entry["request_id"] = request_id
-    path.write_text(json.dumps(entry, indent=2, sort_keys=True,
-                               default=str) + "\n", encoding="utf-8")
+    _write_atomic(path, json.dumps(entry, indent=2, sort_keys=True,
+                                   default=str) + "\n")
     return path
 
 
@@ -385,8 +419,8 @@ def record_service(ledger_dir: Union[str, Path], run_id: str,
            "run_id": run_id}
     doc.update(document)
     path = run_dir / SERVICE_FILENAME
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                               default=str) + "\n", encoding="utf-8")
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True,
+                                   default=str) + "\n")
     return path
 
 

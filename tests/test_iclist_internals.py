@@ -14,16 +14,29 @@ from conftest import random_function
 
 class TestIncrementalPairReuse:
     def test_surviving_pairs_reused_across_merge_rounds(self, manager):
-        """After a merge, pairs among surviving conjuncts must be cache
-        hits — only the O(n) pairs touching the new product are built."""
+        """Each pair is looked up exactly once per call: the n(n-1)/2
+        initial pairs, then after merge k only the n-k-1 pairs of the
+        new product with the survivors — the survivors' own pairs keep
+        their scores without another lookup."""
         a, b, c, d = (manager.var(n) for n in "abcd")
         # (a|b) and (a|~b) merge profitably to a; c^d and c|d survive.
-        cl = ConjList(manager, [a | b, a | ~b, c ^ d, ~c | ~d])
-        cache = PairCache(manager)
-        stats = greedy_evaluate(cl, cache=cache)
-        assert stats.merges >= 1
-        # Round 2 re-scores the survivors' pair without rebuilding it.
-        assert cache.stats.product_hits > 0
+        lists = [([a | b, a | ~b, c ^ d, ~c | ~d], 1.5)]
+        for seed in (3, 8):
+            rng = random.Random(seed)
+            lists.append(([random_function(manager, "abcdef", rng)
+                           for _ in range(7)], 1e6))
+        for fns, threshold in lists:
+            cl = ConjList(manager, fns)
+            n = len(cl)
+            cache = PairCache(manager)
+            stats = greedy_evaluate(cl, grow_threshold=threshold,
+                                    cache=cache)
+            assert stats.merges >= 1
+            assert cache.stats.flushes == 0
+            lookups = n * (n - 1) // 2 + sum(
+                n - k - 1 for k in range(1, stats.merges + 1))
+            assert (cache.stats.product_hits + cache.stats.product_misses
+                    == lookups)
 
     def test_pairs_built_bounded_by_fresh_pairs(self, manager):
         """Total products built can never exceed distinct pairs seen:

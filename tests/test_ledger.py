@@ -106,6 +106,39 @@ class TestLoadAndList:
         with pytest.raises(ValueError, match="schema_version"):
             ledger.load_run(tmp_path, "deadbeef0000")
 
+    @staticmethod
+    def _plant(root, run_id, text):
+        run_dir = root / run_id
+        run_dir.mkdir()
+        (run_dir / ledger.RUN_FILENAME).write_text(text)
+
+    def test_list_skips_truncated_document(self, tmp_path):
+        good = ledger.record_run(tmp_path, _result(), config={"k": 1})
+        text = (tmp_path / good / ledger.RUN_FILENAME).read_text()
+        self._plant(tmp_path, "000000000000", text[:len(text) // 2])
+        skipped = []
+        runs = ledger.list_runs(tmp_path, skipped)
+        assert [rid for rid, _ in runs] == [good]
+        assert skipped == ["000000000000"]
+        # An explicit id still reports the damage.
+        with pytest.raises(ValueError):
+            ledger.load_run(tmp_path, "000000000000")
+
+    def test_list_skips_wrong_schema_version(self, tmp_path):
+        good = ledger.record_run(tmp_path, _result(), config={"k": 1})
+        self._plant(tmp_path, "deadbeef0000", json.dumps(
+            {"schema_version": 99, "model": "m", "method": "x",
+             "result": {}}))
+        skipped = []
+        assert [rid for rid, _ in ledger.list_runs(tmp_path, skipped)] \
+            == [good]
+        assert skipped == ["deadbeef0000"]
+
+    def test_record_leaves_no_temp_file(self, tmp_path):
+        run_id = ledger.record_run(tmp_path, _result(), config={"k": 1})
+        assert sorted(p.name for p in (tmp_path / run_id).iterdir()) == \
+            [ledger.RUN_FILENAME]
+
 
 class TestDiffRuns:
     def _docs(self, recorded):
@@ -249,6 +282,19 @@ class TestCliLedgerAndCompare:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["method"] == "XICI"
+
+    def test_ledger_list_survives_torn_document(self, tmp_path, capsys):
+        from repro.cli import main
+        run_id = self._verify_into(tmp_path, capsys)
+        torn = tmp_path / "0123456789ab"
+        torn.mkdir()
+        (torn / ledger.RUN_FILENAME).write_text('{"schema_version": 1, "mo')
+        code = main(["ledger", "--dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert run_id in captured.out
+        assert "0123456789ab" not in captured.out
+        assert "skipped 1 unreadable run(s)" in captured.err
 
 
 class TestRequestIndex:
