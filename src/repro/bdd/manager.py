@@ -901,6 +901,17 @@ class BDD:
         node = self._unique.get(key)
         if node is not None:
             return node << 1
+        return self._new_node(key, level, high, low)
+
+    def _new_node(self, key: Tuple[int, int, int], level: int, high: int,
+                  low: int) -> int:
+        """Allocate the node ``key == (level, high, low)``; returns its
+        regular edge.
+
+        The one allocation path of the dict kernel: the hot recursions
+        probe :attr:`_unique` inline and call this only on a miss, so
+        the budget checks and allocation counters live here alone.
+        """
         node = len(self._level)
         if self.max_nodes is not None and node > self.max_nodes:
             raise BudgetExceededError("node", self.max_nodes)
@@ -945,6 +956,21 @@ class BDD:
     # ------------------------------------------------------------------
     # Core operation: if-then-else
     # ------------------------------------------------------------------
+    #
+    # The hot recursions below (_ite, _exists, _and_exists,
+    # _restrict_rec, _constrain_rec) inline what _cofactors_at and _mk
+    # do: the node arrays are bound to locals, cofactors are read
+    # straight from them, and the unique table is probed in place, with
+    # _new_node called only on a miss.  They allocate the same nodes in
+    # the same order and write the same cache entries as the plain
+    # _cofactors_at/_mk formulation.
+    #
+    # Int sharing: node lists, unique keys and cache values hold Python
+    # ints, and ``x ^ 0`` or ``x | 0`` builds a fresh int object equal
+    # to ``x``.  So a cofactor of a regular edge is the stored child
+    # itself, never ``child ^ sign`` with a zero sign, and a result is
+    # negated as ``result ^ 1 if negate else result``.  Storing fresh
+    # copies instead costs megabytes of peak memory on large runs.
 
     def _ite(self, f: int, g: int, h: int) -> int:
         # Terminal cases.
@@ -985,17 +1011,56 @@ class BDD:
         if result is None:
             self._ite_misses += 1
             levels = self._level
-            lf = levels[f >> 1]
-            lg = levels[g >> 1]
-            lh = levels[h >> 1]
+            highs = self._high
+            lows = self._low
+            fn = f >> 1
+            gn = g >> 1
+            hn = h >> 1
+            lf = levels[fn]
+            lg = levels[gn]
+            lh = levels[hn]
             top = lf if lf < lg else lg
             if lh < top:
                 top = lh
-            f1, f0 = self._cofactors_at(f, top)
-            g1, g0 = self._cofactors_at(g, top)
-            h1, h0 = self._cofactors_at(h, top)
-            result = self._mk(top, self._ite(f1, g1, h1),
-                              self._ite(f0, g0, h0))
+            # f and g are regular here; only h can carry a sign.
+            if lf == top:
+                f1 = highs[fn]
+                f0 = lows[fn]
+            else:
+                f1 = f0 = f
+            if lg == top:
+                g1 = highs[gn]
+                g0 = lows[gn]
+            else:
+                g1 = g0 = g
+            if lh != top:
+                h1 = h0 = h
+            elif h & 1:
+                h1 = highs[hn] ^ 1
+                h0 = lows[hn] ^ 1
+            else:
+                h1 = highs[hn]
+                h0 = lows[hn]
+            high = self._ite(f1, g1, h1)
+            low = self._ite(f0, g0, h0)
+            if high == low:
+                result = high
+            elif high & 1:
+                high ^= 1
+                low ^= 1
+                nkey = (top, high, low)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, high, low) | 1
+                else:
+                    result = (node << 1) | 1
+            else:
+                nkey = (top, high, low)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, high, low)
+                else:
+                    result = node << 1
             cache[key] = result
         else:
             self._ite_hits += 1
@@ -1029,7 +1094,11 @@ class BDD:
 
     def _exists(self, f: int, levels: frozenset, levels_key: int,
                 max_level: int) -> int:
-        if f <= 1 or self._level[f >> 1] > max_level:
+        if f <= 1:
+            return f
+        fn = f >> 1
+        top = self._level[fn]
+        if top > max_level:
             return f
         key = (f, levels_key, 0)
         cached = self._quant_cache.get(key)
@@ -1037,18 +1106,39 @@ class BDD:
             self._quant_hits += 1
             return cached
         self._quant_misses += 1
-        top = self._level[f >> 1]
-        f1, f0 = self._cofactors(f)
+        if f & 1:
+            f1 = self._high[fn] ^ 1
+            f0 = self._low[fn] ^ 1
+        else:
+            f1 = self._high[fn]
+            f0 = self._low[fn]
         r1 = self._exists(f1, levels, levels_key, max_level)
         if top in levels:
             if r1 == 0:
                 result = 0
             else:
                 r0 = self._exists(f0, levels, levels_key, max_level)
-                result = self._or(r1, r0)
+                result = self._ite(r1, 0, r0)
         else:
             r0 = self._exists(f0, levels, levels_key, max_level)
-            result = self._mk(top, r1, r0)
+            if r1 == r0:
+                result = r1
+            elif r1 & 1:
+                r1 ^= 1
+                r0 ^= 1
+                nkey = (top, r1, r0)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, r1, r0) | 1
+                else:
+                    result = (node << 1) | 1
+            else:
+                nkey = (top, r1, r0)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, r1, r0)
+                else:
+                    result = node << 1
         self._quant_cache[key] = result
         return result
 
@@ -1079,29 +1169,65 @@ class BDD:
             return 1  # f AND not-f is False; exists of False is False
         if f > g:
             f, g = g, f
-        levf = self._level[f >> 1]
-        levg = self._level[g >> 1]
+        node_level = self._level
+        fn = f >> 1
+        gn = g >> 1
+        levf = node_level[fn]
+        levg = node_level[gn]
         top = levf if levf < levg else levg
         if top > max_level:
-            return self._and(f, g)
+            return self._ite(f, g, 1)
         key = (f, g, levels_key, 0)
         cached = self._andex_cache.get(key)
         if cached is not None:
             self._andex_hits += 1
             return cached
         self._andex_misses += 1
-        f1, f0 = self._cofactors_at(f, top)
-        g1, g0 = self._cofactors_at(g, top)
+        highs = self._high
+        lows = self._low
+        if levf != top:
+            f1 = f0 = f
+        elif f & 1:
+            f1 = highs[fn] ^ 1
+            f0 = lows[fn] ^ 1
+        else:
+            f1 = highs[fn]
+            f0 = lows[fn]
+        if levg != top:
+            g1 = g0 = g
+        elif g & 1:
+            g1 = highs[gn] ^ 1
+            g0 = lows[gn] ^ 1
+        else:
+            g1 = highs[gn]
+            g0 = lows[gn]
         r1 = self._and_exists(f1, g1, levels, levels_key, max_level)
         if top in levels:
             if r1 == 0:
                 result = 0
             else:
                 r0 = self._and_exists(f0, g0, levels, levels_key, max_level)
-                result = self._or(r1, r0)
+                result = self._ite(r1, 0, r0)
         else:
             r0 = self._and_exists(f0, g0, levels, levels_key, max_level)
-            result = self._mk(top, r1, r0)
+            if r1 == r0:
+                result = r1
+            elif r1 & 1:
+                r1 ^= 1
+                r0 ^= 1
+                nkey = (top, r1, r0)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, r1, r0) | 1
+                else:
+                    result = (node << 1) | 1
+            else:
+                nkey = (top, r1, r0)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, r1, r0)
+                else:
+                    result = node << 1
         self._andex_cache[key] = result
         return result
 
@@ -1217,26 +1343,57 @@ class BDD:
             self._restrict_hits += 1
             return cached
         self._restrict_misses += 1
-        lf = self._level[f >> 1]
-        lc = self._level[c >> 1]
+        levels = self._level
+        highs = self._high
+        lows = self._low
+        fn = f >> 1
+        cn = c >> 1
+        lf = levels[fn]
+        lc = levels[cn]
+        if lc > lf:
+            c1 = c0 = c
+        elif c & 1:
+            c1 = highs[cn] ^ 1
+            c0 = lows[cn] ^ 1
+        else:
+            c1 = highs[cn]
+            c0 = lows[cn]
         if lc < lf:
             # Top variable of c does not appear in f: f_x = f_xbar, so
             # restrict by (c_x or c_xbar), i.e. existentially drop x.
-            c1, c0 = self._cofactors(c)
-            result = self._restrict_rec(f, self._or(c1, c0))
+            result = self._restrict_rec(f, self._ite(c1, 0, c0))
         else:
-            f1, f0 = self._cofactors(f)
-            if lf < lc:
-                c1 = c0 = c
+            if f & 1:
+                f1 = highs[fn] ^ 1
+                f0 = lows[fn] ^ 1
             else:
-                c1, c0 = self._cofactors(c)
+                f1 = highs[fn]
+                f0 = lows[fn]
             if c1 == 1:  # c_x is False
                 result = self._restrict_rec(f0, c0)
             elif c0 == 1:  # c_xbar is False
                 result = self._restrict_rec(f1, c1)
             else:
-                result = self._mk(lf, self._restrict_rec(f1, c1),
-                                  self._restrict_rec(f0, c0))
+                high = self._restrict_rec(f1, c1)
+                low = self._restrict_rec(f0, c0)
+                if high == low:
+                    result = high
+                elif high & 1:
+                    high ^= 1
+                    low ^= 1
+                    nkey = (lf, high, low)
+                    node = self._unique.get(nkey)
+                    if node is None:
+                        result = self._new_node(nkey, lf, high, low) | 1
+                    else:
+                        result = (node << 1) | 1
+                else:
+                    nkey = (lf, high, low)
+                    node = self._unique.get(nkey)
+                    if node is None:
+                        result = self._new_node(nkey, lf, high, low)
+                    else:
+                        result = node << 1
         self._restrict_cache[key] = result
         return result
 
@@ -1272,18 +1429,55 @@ class BDD:
             self._constrain_hits += 1
             return cached
         self._constrain_misses += 1
-        lf = self._level[f >> 1]
-        lc = self._level[c >> 1]
+        levels = self._level
+        highs = self._high
+        lows = self._low
+        fn = f >> 1
+        cn = c >> 1
+        lf = levels[fn]
+        lc = levels[cn]
         top = lf if lf < lc else lc
-        f1, f0 = self._cofactors_at(f, top)
-        c1, c0 = self._cofactors_at(c, top)
+        if lf != top:
+            f1 = f0 = f
+        elif f & 1:
+            f1 = highs[fn] ^ 1
+            f0 = lows[fn] ^ 1
+        else:
+            f1 = highs[fn]
+            f0 = lows[fn]
+        if lc != top:
+            c1 = c0 = c
+        elif c & 1:
+            c1 = highs[cn] ^ 1
+            c0 = lows[cn] ^ 1
+        else:
+            c1 = highs[cn]
+            c0 = lows[cn]
         if c1 == 1:  # c_x is False
             result = self._constrain_rec(f0, c0)
         elif c0 == 1:  # c_xbar is False
             result = self._constrain_rec(f1, c1)
         else:
-            result = self._mk(top, self._constrain_rec(f1, c1),
-                              self._constrain_rec(f0, c0))
+            high = self._constrain_rec(f1, c1)
+            low = self._constrain_rec(f0, c0)
+            if high == low:
+                result = high
+            elif high & 1:
+                high ^= 1
+                low ^= 1
+                nkey = (top, high, low)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, high, low) | 1
+                else:
+                    result = (node << 1) | 1
+            else:
+                nkey = (top, high, low)
+                node = self._unique.get(nkey)
+                if node is None:
+                    result = self._new_node(nkey, top, high, low)
+                else:
+                    result = node << 1
         self._constrain_cache[key] = result
         return result
 

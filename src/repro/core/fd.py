@@ -30,7 +30,7 @@ from ..bdd.manager import BudgetExceededError, Function
 from ..bdd.sizing import format_profile, shared_size
 from ..trace import IMAGE, TERMINATION
 from ..fsm.machine import Machine
-from ..fsm.image import clustered_image
+from ..fsm.image import ClusterFold, clustered_image
 from ..fsm.trace import Trace, forward_counterexample
 from .options import Options
 from .result import Outcome, RunRecorder, VerificationResult
@@ -141,16 +141,18 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                        for name, fn in machine.delta.items()}
             assume_c = machine.assumption.compose(funcs)
             source = reduced & assume_c
-            indep_parts = [manager.var(prime[name]).iff(delta_c[name])
-                           for name in independent]
+            # Clustered once here (lazily, inside the first image) and
+            # extended by one part per dependent bit below.
+            indep_fold = ClusterFold(
+                [manager.var(prime[name]).iff(delta_c[name])
+                 for name in independent], options.cluster_limit)
             observed = tracer.enabled or metrics.enabled
             handle = spans.open_span("image") if spans.enabled else None
             if observed:
                 t0 = time.monotonic()
             image_reduced = clustered_image(
-                source, indep_parts, quantify,
-                {prime[name]: name for name in independent},
-                options.cluster_limit)
+                source, indep_fold, quantify,
+                {prime[name]: name for name in independent})
             if observed:
                 seconds = time.monotonic() - t0
                 if tracer.enabled:
@@ -171,9 +173,8 @@ def _run(machine: Machine, good_conjuncts: List[Function],
             for name in dependent:
                 part = manager.var(prime[name]).iff(delta_c[name])
                 wide = clustered_image(
-                    source, indep_parts + [part], quantify,
-                    {prime[n]: n for n in independent + [name]},
-                    options.cluster_limit)
+                    source, indep_fold.extend([part]), quantify,
+                    {prime[n]: n for n in independent + [name]})
                 high = wide.cofactor(name, True)
                 low = wide.cofactor(name, False)
                 if not (high & low).is_false:

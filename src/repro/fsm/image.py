@@ -24,13 +24,14 @@ with clustered conjuncts and early quantification (Burch–Clarke–Long
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, \
+    Tuple, Union
 
 from ..bdd.manager import Function
 from .machine import Machine, greedy_clusters
 
 __all__ = ["back_image", "pre_image", "image", "ImageComputer",
-           "RELATIONAL_COST", "resolve_back_image_mode"]
+           "ClusterFold", "RELATIONAL_COST", "resolve_back_image_mode"]
 
 #: ``"auto"`` back-images a conjunct ``z`` relationally when the
 #: predicted compose cost ``|z| * sum(|delta_v| for v in supp(z))``
@@ -172,7 +173,53 @@ class ImageComputer:
         return current.rename(machine.unprime_map())
 
 
-def clustered_image(source: Function, parts: Sequence[Function],
+class ClusterFold:
+    """Greedy clusters of transition ``parts``, each with its support.
+
+    The clusters are built on first use.  :meth:`extend` continues the
+    same greedy fold (see :func:`~repro.fsm.machine.greedy_clusters`):
+    ``fold.extend(more)`` has exactly the clusters of
+    ``ClusterFold(parts + more)``, but clusters only ``more`` and keeps
+    the supports of the clusters ``more`` leaves unchanged.  The FD
+    engine clusters its independent parts once per iteration and
+    extends that fold by one dependent bit at a time.
+    """
+
+    def __init__(self, parts: Sequence[Function], cluster_limit: int = 2500,
+                 base: Optional["ClusterFold"] = None) -> None:
+        self.cluster_limit = cluster_limit
+        self._parts = list(parts)
+        self._base = base
+        self._clusters: Optional[List[Tuple[Function, List[int]]]] = None
+        self._supports: List[frozenset] = []
+
+    def extend(self, parts: Sequence[Function]) -> "ClusterFold":
+        """The fold continued with ``parts``; ``self`` is unchanged."""
+        return ClusterFold(parts, self.cluster_limit, self)
+
+    def relations(self) -> Tuple[List[Function], List[frozenset]]:
+        """Each cluster's conjunction and its support, in order."""
+        if self._clusters is None:
+            start: List[Tuple[Function, List[int]]] = []
+            known: List[frozenset] = []
+            if self._base is not None:
+                self._base.relations()
+                start = self._base._clusters
+                known = self._base._supports
+            clusters = greedy_clusters(self._parts, self.cluster_limit,
+                                       start)
+            self._supports = [
+                known[index]
+                if index < len(start) and cluster is start[index]
+                else cluster[0].support()
+                for index, cluster in enumerate(clusters)]
+            self._clusters = clusters
+        return ([relation for relation, _members in self._clusters],
+                self._supports)
+
+
+def clustered_image(source: Function,
+                    parts: Union[Sequence[Function], ClusterFold],
                     quantify_names: Sequence[str],
                     rename_map: Dict[str, str],
                     cluster_limit: int = 2500) -> Function:
@@ -183,13 +230,14 @@ def clustered_image(source: Function, parts: Sequence[Function],
     then renames by ``rename_map``.  Used by the FD engine, whose
     per-iteration transition parts change (dependent variables are
     substituted out), so nothing can be cached on the machine.
+    ``parts`` may be a :class:`ClusterFold`, whose clusters (and own
+    ``cluster_limit``) are used as they stand.
     """
-    relations = [relation for relation, _members
-                 in greedy_clusters(parts, cluster_limit)]
+    fold = parts if isinstance(parts, ClusterFold) \
+        else ClusterFold(parts, cluster_limit)
+    relations, supports = fold.relations()
     quantifiable = frozenset(quantify_names)
-    schedule = _schedule(relations,
-                         [relation.support() for relation in relations],
-                         quantifiable)
+    schedule = _schedule(relations, supports, quantifiable)
     return _conjoin_quantify(source, schedule,
                              quantifiable).rename(rename_map)
 

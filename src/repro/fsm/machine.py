@@ -45,22 +45,29 @@ class Cluster(NamedTuple):
     support: frozenset
 
 
-def greedy_clusters(parts: Sequence[Function],
-                    cluster_limit: int) -> List[Tuple[Function, List[int]]]:
+def greedy_clusters(parts: Sequence[Function], cluster_limit: int,
+                    start: Sequence[Tuple[Function, List[int]]] = ()
+                    ) -> List[Tuple[Function, List[int]]]:
     """Conjoin consecutive ``parts`` while the product stays small.
 
     A part joins the open cluster unless the merged BDD would exceed
     ``cluster_limit`` nodes.  Returns each cluster with the indices of
     the parts it conjoins.
+
+    The clustering is a left fold over ``parts``, and ``start`` — an
+    earlier result — continues it: ``greedy_clusters(b, n,
+    greedy_clusters(a, n))`` equals ``greedy_clusters(a + b, n)``.
+    ``start`` is left unmodified, and every cluster the new parts do
+    not touch is returned as the same tuple object.
     """
-    clusters: List[Tuple[Function, List[int]]] = []
-    for index, part in enumerate(parts):
+    clusters = list(start)
+    first = clusters[-1][1][-1] + 1 if clusters else 0
+    for index, part in enumerate(parts, first):
         if clusters:
             current, members = clusters[-1]
             merged = current & part
             if merged.size() <= cluster_limit:
-                members.append(index)
-                clusters[-1] = (merged, members)
+                clusters[-1] = (merged, members + [index])
                 continue
         clusters.append((part, [index]))
     return clusters

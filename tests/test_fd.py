@@ -1,5 +1,6 @@
 """Tests for the functional-dependency engine and extraction."""
 
+import importlib
 import random
 
 import pytest
@@ -11,8 +12,12 @@ from repro.core import DEPENDENCY_FAILED, Options, Problem, \
     extract_dependencies, verify
 from repro.core.fd import DependencyError
 from repro.explicit import explicit_check
+from repro.fsm.image import ClusterFold
+from repro.fsm.machine import greedy_clusters
 
 from conftest import random_function
+
+image_module = importlib.import_module("repro.fsm.image")
 
 
 class TestExtraction:
@@ -143,3 +148,62 @@ class TestFdEngine:
         problem.fd_dependent_bits = ["nosuch[0]"]
         with pytest.raises(ValueError):
             verify(problem, "fd")
+
+
+def _edges(clusters):
+    return [(relation.edge, list(members)) for relation, members in clusters]
+
+
+class TestClusterFold:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_continued_fold_equals_the_fold_of_the_concatenation(self,
+                                                                 seed):
+        rng = random.Random(seed)
+        manager = BDD()
+        names = [f"v{i}" for i in range(6)]
+        for name in names:
+            manager.new_var(name)
+        parts = [random_function(manager, names, rng)
+                 for _ in range(rng.randint(0, 7))]
+        more = [random_function(manager, names, rng)
+                for _ in range(rng.randint(1, 3))]
+        limit = rng.choice([1, 6, 12, 10_000])
+        base = greedy_clusters(parts, limit)
+        before = _edges(base)
+        continued = greedy_clusters(more, limit, base)
+        assert _edges(continued) == _edges(greedy_clusters(parts + more,
+                                                           limit))
+        assert _edges(base) == before
+        # Clusters the new parts did not touch are shared, not rebuilt.
+        untouched = len(base) - 1 if base else 0
+        assert all(continued[i] is base[i] for i in range(untouched))
+
+        fold = ClusterFold(parts, limit)
+        relations, supports = fold.extend(more).relations()
+        whole, whole_supports = ClusterFold(parts + more, limit).relations()
+        assert relations == whole
+        assert supports == whole_supports
+        assert supports == [relation.support() for relation in relations]
+        assert fold.relations()[0] == [
+            relation for relation, _ in greedy_clusters(parts, limit)]
+
+    def test_one_fd_iteration_clusters_the_independent_parts_once(
+            self, monkeypatch):
+        problem = dependent_pair_problem()
+        dependent = len(problem.fd_dependent_bits)
+        independent = problem.machine.num_state_bits - dependent
+        calls = []
+        real = image_module.greedy_clusters
+
+        def counting(parts, cluster_limit, start=()):
+            calls.append((len(parts), len(start)))
+            return real(parts, cluster_limit, start)
+
+        monkeypatch.setattr(image_module, "greedy_clusters", counting)
+        result = verify(problem, "fd")
+        assert result.verified
+        fresh = [call for call in calls if call[1] == 0]
+        continued = [call for call in calls if call[1] > 0]
+        assert fresh == [(independent, 0)] * result.iterations
+        assert len(continued) == dependent * result.iterations
+        assert all(parts == 1 for parts, _start in continued)
